@@ -3,6 +3,7 @@
 //   * the eq. 1 satisfy check,
 //   * QCS composition vs layer width K (the paper's O(K V^2) bound),
 //   * one peer-selection step vs candidate count,
+//   * neighbor-table adds at the paper's budget M = 100,
 //   * Chord lookups vs ring size (hop counts ~ log N),
 //   * event-queue throughput and the pairwise network draw.
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "qsa/overlay/can_overlay.hpp"
 #include "qsa/overlay/chord_ring.hpp"
 #include "qsa/overlay/pastry_overlay.hpp"
+#include "qsa/probe/neighbor_table.hpp"
 #include "qsa/qos/satisfy.hpp"
 #include "qsa/sim/event_queue.hpp"
 #include "qsa/util/rng.hpp"
@@ -161,6 +163,54 @@ void BM_PeerSelectionStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PeerSelectionStep)->Arg(10)->Arg(40)->Arg(80)->Arg(160);
+
+/// One full M = 100 neighbor table taking batches of 180 adds (3 hops x 60
+/// candidates, the size of one register_path call); items are adds. The
+/// argument picks the batch:
+///   0 — rejected: every newcomer ranks below the whole table;
+///   1 — evicting: every newcomer ties the table's rank with a later
+///       deadline, so each add evicts the stalest entry (FIFO);
+///   2 — register_path: the same 3-hop path re-registered each iteration —
+///       hop-1 refreshes, hop-2 refreshes plus evictions among equals, hop-3
+///       rejections.
+void BM_NeighborTableAdd(benchmark::State& state) {
+  constexpr std::size_t kBudget = 100;
+  constexpr std::size_t kHops = 3;
+  constexpr std::size_t kPerHop = 60;
+  const auto batch = state.range(0);
+  const auto ttl = sim::SimTime::minutes(90);
+  const auto kind = probe::NeighborKind::kDirect;
+  probe::NeighborTable table(kBudget);
+  sim::SimTime now = sim::SimTime::zero();
+  net::PeerId fresh = 0;
+  for (; fresh < kBudget; ++fresh) table.add(fresh, 2, kind, now, ttl);
+  constexpr net::PeerId kOutsider = 1'000'000;  // never admitted in batch 0
+  for (auto _ : state) {
+    for (std::size_t hop = 1; hop <= kHops; ++hop) {
+      for (std::size_t c = 0; c < kPerHop; ++c) {
+        bool added = false;
+        if (batch == 0) {
+          added = table.add(kOutsider + static_cast<net::PeerId>(c), 3, kind,
+                            now, ttl);
+        } else if (batch == 1) {
+          now += sim::SimTime::millis(1);
+          added = table.add(fresh++, 2, kind, now, ttl);
+        } else {
+          added = table.add(
+              static_cast<net::PeerId>((hop - 1) * kPerHop + c),
+              static_cast<std::uint8_t>(hop), kind, now, ttl);
+        }
+        benchmark::DoNotOptimize(added);
+      }
+    }
+    if (batch == 2) now += sim::SimTime::seconds(1);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kHops * kPerHop));
+  state.SetLabel(batch == 0 ? "rejected" : batch == 1 ? "evicting"
+                                                      : "register_path");
+}
+BENCHMARK(BM_NeighborTableAdd)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_CanLookup(benchmark::State& state) {
   const auto nodes = static_cast<net::PeerId>(state.range(0));

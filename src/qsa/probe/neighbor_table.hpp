@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "qsa/net/peer.hpp"
 #include "qsa/sim/time.hpp"
@@ -41,14 +42,25 @@ class NeighborTable {
   /// An empty table with budget 0: the state a DenseMap slot holds before a
   /// real table is assigned in (and after one is erased). add() on such a
   /// table asserts — per-peer tables are always created with a budget.
-  NeighborTable() = default;
+  NeighborTable() noexcept;
 
   /// `budget` is M, the maximum number of probed neighbors.
   explicit NeighborTable(std::size_t budget);
 
+  // Defined out of line, where EvictionIndex is complete. Move-only: no
+  // caller copies a table.
+  NeighborTable(NeighborTable&&) noexcept;
+  NeighborTable& operator=(NeighborTable&&) noexcept;
+  ~NeighborTable();
+
   /// Inserts or refreshes a neighbor. On refresh the entry keeps the better
-  /// (lower) benefit rank and extends its TTL. Returns false when the table
-  /// is full of entries at least as beneficial (the insert is rejected).
+  /// (lower) benefit rank and extends its TTL. A newcomer to a full table
+  /// takes the slot of the longest-expired entry (ties: larger PeerId), else
+  /// of the worst live one (highest rank, then earliest expiry, then larger
+  /// PeerId). Returns false when the table is full of live entries at least
+  /// as beneficial (the insert is rejected). The victim comes from an exact
+  /// short prefix of each order; the table is scanned only when a prefix
+  /// runs empty.
   bool add(net::PeerId peer, std::uint8_t hop, NeighborKind kind,
            sim::SimTime now, sim::SimTime ttl);
 
@@ -75,8 +87,14 @@ class NeighborTable {
   }
 
  private:
+  /// Exact prefixes of the two eviction orders (defined in the .cpp). Held
+  /// out of line and allocated only when the table first fills, because
+  /// every DenseMap slot default-constructs a table.
+  struct EvictionIndex;
+
   std::size_t budget_ = 0;
   util::DenseMap<net::PeerId, NeighborEntry> entries_;
+  std::unique_ptr<EvictionIndex> index_;
 };
 
 }  // namespace qsa::probe

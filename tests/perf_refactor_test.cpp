@@ -33,6 +33,7 @@
 
 #include "qsa/harness/grid.hpp"
 #include "qsa/harness/shard_world.hpp"
+#include "qsa/index/attribute_index.hpp"
 #include "qsa/obs/export.hpp"
 #include "qsa/obs/sink.hpp"
 
@@ -294,6 +295,76 @@ TEST(PerfRefactorIdentity, ShardedGridBootstrapMatchesSerialGolden) {
   auto cfg = base_config(11, AlgorithmKind::kQsa);
   cfg.shards = 4;
   expect_cell("qsa/11", cfg);
+}
+
+// DHT range discovery (--discovery=dht) on every overlay, faults off and at
+// 1% loss on every channel, with churn, replication and recovery on — the
+// grid_churn_dht shape at test scale. The digest covers the sim surface
+// plus the attribute index's own IndexStats, so a change to the overlay
+// value store or the index's read path that moves a single posting, scan
+// or false positive lands here as a mismatch.
+GridConfig dht_config(OverlayKind overlay, bool faults) {
+  GridConfig c;
+  c.seed = 11;
+  c.peers = 300;
+  c.min_providers = 15;
+  c.max_providers = 30;
+  c.apps.applications = 6;
+  c.requests.rate_per_min = 20;
+  c.churn.events_per_min = 6;
+  c.enable_recovery = true;
+  c.admission_retries = 1;
+  c.replication.enabled = true;
+  c.horizon = sim::SimTime::minutes(15);
+  c.sample_period = sim::SimTime::minutes(2);
+  c.overlay = overlay;
+  c.discovery = DiscoveryKind::kDht;
+  if (faults) c.faults.set_all_loss(0.01);
+  return c;
+}
+
+std::uint64_t dht_digest(const GridConfig& cfg) {
+  GridSimulation grid(cfg);
+  const GridResult r = grid.run();
+  std::ostringstream os;
+  append_sim_digest(os, r);
+  const index::AttributeIndex* index = grid.attribute_index();
+  if (index == nullptr) {
+    ADD_FAILURE() << "dht cell ran without an attribute index";
+    return 0;
+  }
+  const index::IndexStats& st = index->stats();
+  os << "index:" << st.publishes << ',' << st.updates << ',' << st.expiries
+     << ',' << st.scans << ',' << st.scan_segments << ',' << st.scan_hops
+     << ',' << st.scan_reroutes << ',' << st.failed_scans << ','
+     << st.scanned_postings << ',' << st.false_positives << ','
+     << st.stale_postings << ";postings=" << index->postings()
+     << ";epoch=" << index->epoch() << '\n';
+  return fnv1a(os.str());
+}
+
+// DHT goldens: captured on the std::set-based overlay store, before the
+// flat value store replaced it (DESIGN.md §15).
+constexpr GoldenCell kGoldenDht[] = {
+    {"dht/chord", 0xb2e331280671f8c3ULL},
+    {"dht/chord/loss", 0x7668226a3085fe30ULL},
+    {"dht/can", 0x8ca3708333697211ULL},
+    {"dht/can/loss", 0x70de2875bc7958a4ULL},
+    {"dht/pastry", 0xa09400e0f2022a7dULL},
+    {"dht/pastry/loss", 0x47430bc0aeca135eULL},
+};
+
+TEST(PerfRefactorIdentity, DhtDiscoveryMatchesGoldenOnAllOverlays) {
+  for (const OverlayKind overlay :
+       {OverlayKind::kChord, OverlayKind::kCan, OverlayKind::kPastry}) {
+    for (const bool faults : {false, true}) {
+      const std::string label = "dht/" + std::string(to_string(overlay)) +
+                                (faults ? "/loss" : "");
+      EXPECT_EQ(dht_digest(dht_config(overlay, faults)),
+                golden(kGoldenDht, label))
+          << "dht digest drift at cell " << label;
+    }
+  }
 }
 
 // Same cell, same seed, two fresh grids in one process: the engine (slot

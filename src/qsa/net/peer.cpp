@@ -109,10 +109,6 @@ Peer PeerTable::peer(PeerId id) const {
   return Peer(id, &page.hot[slot], &page.cold[slot]);
 }
 
-bool PeerTable::alive(PeerId id) const {
-  return id < total_ && resident(id) && hot(id).alive;
-}
-
 bool PeerTable::try_reserve(PeerId id, const qos::ResourceVector& r,
                             sim::SimTime now) {
   QSA_EXPECTS(id < total_);

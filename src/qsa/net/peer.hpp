@@ -143,7 +143,11 @@ class PeerTable {
   /// could still distinguish it (see the file comment); nothing in the
   /// grid reads the full record of a long-departed peer.
   [[nodiscard]] Peer peer(PeerId id) const;
-  [[nodiscard]] bool alive(PeerId id) const;
+  /// Inline: the index's stale-provider check calls it per surviving
+  /// posting, hundreds of times per range query.
+  [[nodiscard]] bool alive(PeerId id) const noexcept {
+    return id < total_ && resident(id) && hot(id).alive;
+  }
 
   [[nodiscard]] std::size_t total_peers() const noexcept { return total_; }
   [[nodiscard]] std::size_t alive_count() const noexcept {

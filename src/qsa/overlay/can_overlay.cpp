@@ -126,16 +126,10 @@ void CanOverlay::join(net::PeerId peer) {
   // and the keys that now fall into it.
   lo_node.peer = parent.peer;
   hi_node.peer = peer;
-  for (auto it = parent.store.begin(); it != parent.store.end();) {
-    const CanPoint kp = can_point(seed_, it->first);
-    if (hi_node.zone.contains(kp)) {
-      hi_node.store.emplace(it->first, std::move(it->second));
-      it = parent.store.erase(it);
-    } else {
-      lo_node.store.emplace(it->first, std::move(it->second));
-      it = parent.store.erase(it);
-    }
-  }
+  parent.store.move_to([&](Key k) {
+    return hi_node.zone.contains(can_point(seed_, k)) ? &hi_node.store
+                                                      : &lo_node.store;
+  });
 
   parent.peer = net::kNoPeer;
   parent.split_dim = static_cast<int>(dim);
@@ -177,13 +171,6 @@ int CanOverlay::deepest_leaf_pair(int subtree) const {
   return best;
 }
 
-void CanOverlay::move_store_into_zone(TreeNode& from, TreeNode& to) {
-  for (auto& [key, values] : from.store) {
-    to.store[key].insert(values.begin(), values.end());
-  }
-  from.store.clear();
-}
-
 void CanOverlay::takeover(net::PeerId peer, bool graceful) {
   auto pit = leaf_of_peer_.find(peer);
   if (pit == leaf_of_peer_.end()) return;
@@ -210,8 +197,8 @@ void CanOverlay::takeover(net::PeerId peer, bool graceful) {
     p.peer = sib.peer;
     p.split_dim = -1;
     p.child[0] = p.child[1] = kNoNode;
-    move_store_into_zone(sib, p);
-    move_store_into_zone(vacated, p);
+    sib.store.move_to([&p](Key) { return &p.store; });
+    vacated.store.move_to([&p](Key) { return &p.store; });
     leaf_of_peer_[p.peer] = parent;
     free_slots_.push_back(leaf);
     free_slots_.push_back(sibling);
@@ -233,8 +220,8 @@ void CanOverlay::takeover(net::PeerId peer, bool graceful) {
   q.split_dim = -1;
   q.child[0] = q.child[1] = kNoNode;
   const net::PeerId donor_peer = donor.peer;
-  move_store_into_zone(mate, q);
-  move_store_into_zone(donor, q);
+  mate.store.move_to([&q](Key) { return &q.store; });
+  donor.store.move_to([&q](Key) { return &q.store; });
   leaf_of_peer_[q.peer] = pair;
   free_slots_.push_back(donor_leaf);
   free_slots_.push_back(mate_leaf);
@@ -285,7 +272,7 @@ void CanOverlay::insert(Key key, std::uint64_t value) {
   QSA_EXPECTS(root_ != kNoNode);
   const int owner = leaf_containing(can_point(seed_, key));
   for (int leaf : replica_leaves(owner)) {
-    tree_[static_cast<std::size_t>(leaf)].store[key].insert(value);
+    tree_[static_cast<std::size_t>(leaf)].store.insert(key, value);
   }
 }
 
@@ -298,22 +285,15 @@ void CanOverlay::erase(Key key, std::uint64_t value) {
   const int window =
       std::min<int>(replicas_ + 2, static_cast<int>(leaf_of_peer_.size()));
   for (int i = 0; i < window; ++i) {
-    TreeNode& node = tree_[static_cast<std::size_t>(at)];
-    if (auto sit = node.store.find(key); sit != node.store.end()) {
-      sit->second.erase(value);
-      if (sit->second.empty()) node.store.erase(sit);
-    }
+    tree_[static_cast<std::size_t>(at)].store.erase(key, value);
     at = next_leaf(at);
   }
 }
 
-std::vector<std::uint64_t> CanOverlay::get(Key key) const {
+std::span<const std::uint64_t> CanOverlay::values(Key key) const {
   if (root_ == kNoNode) return {};
-  const TreeNode& owner =
-      tree_[static_cast<std::size_t>(leaf_containing(can_point(seed_, key)))];
-  const auto sit = owner.store.find(key);
-  if (sit == owner.store.end()) return {};
-  return {sit->second.begin(), sit->second.end()};
+  return tree_[static_cast<std::size_t>(leaf_containing(can_point(seed_, key)))]
+      .store.values(key);
 }
 
 LookupStats CanOverlay::route(Key key, net::PeerId from,

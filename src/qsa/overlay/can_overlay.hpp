@@ -21,12 +21,11 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "qsa/overlay/lookup.hpp"
+#include "qsa/overlay/value_store.hpp"
 
 namespace qsa::overlay {
 
@@ -59,7 +58,7 @@ class CanOverlay final : public LookupService {
 
   void insert(Key key, std::uint64_t value) override;
   void erase(Key key, std::uint64_t value) override;
-  [[nodiscard]] std::vector<std::uint64_t> get(Key key) const override;
+  [[nodiscard]] std::span<const std::uint64_t> values(Key key) const override;
 
   /// CAN repairs its neighbor state eagerly during takeover; the periodic
   /// stabilization rounds are no-ops kept for interface parity.
@@ -89,13 +88,12 @@ class CanOverlay final : public LookupService {
     int child[2] = {kNoNode, kNoNode};
     int split_dim = -1;                 ///< valid for interior nodes
     net::PeerId peer = net::kNoPeer;    ///< valid for leaves
-    std::map<Key, std::set<std::uint64_t>> store;
+    ValueStore store;
     [[nodiscard]] bool is_leaf() const noexcept { return child[0] == kNoNode; }
   };
 
   [[nodiscard]] int leaf_containing(const CanPoint& p) const;
   [[nodiscard]] int deepest_leaf_pair(int subtree) const;
-  void move_store_into_zone(TreeNode& from, TreeNode& to);
   void takeover(net::PeerId peer, bool graceful);
   /// The `replicas` leaves after `leaf` in an in-order walk (wrap-around).
   [[nodiscard]] std::vector<int> replica_leaves(int leaf) const;

@@ -70,15 +70,9 @@ void ChordRing::join_impl(net::PeerId peer, bool deferred) {
     auto succ = successor(key);
     auto pred = succ == ring_.begin() ? std::prev(ring_.end()) : std::prev(succ);
     const ChordKey pred_key = pred->first;
-    for (auto it = succ->second.store.begin();
-         it != succ->second.store.end();) {
-      if (in_interval_oc(pred_key, key, it->first)) {
-        node.store.emplace(it->first, std::move(it->second));
-        it = succ->second.store.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    succ->second.store.move_to([&](ChordKey k) {
+      return in_interval_oc(pred_key, key, k) ? &node.store : nullptr;
+    });
   }
   auto [it, inserted] = ring_.emplace(key, std::move(node));
   QSA_ASSERT(inserted);
@@ -101,9 +95,7 @@ void ChordRing::leave(net::PeerId peer) {
   if (ring_.size() > 1) {
     // Graceful handoff of the store to the successor.
     auto next = std::next(it) == ring_.end() ? ring_.begin() : std::next(it);
-    for (auto& [k, values] : it->second.store) {
-      next->second.store[k].insert(values.begin(), values.end());
-    }
+    it->second.store.move_to([&](ChordKey) { return &next->second.store; });
   }
   ring_.erase(it);
   key_of_peer_.erase(pit);
@@ -209,7 +201,7 @@ void ChordRing::replicate_insert(Ring::iterator owner_it, ChordKey key,
   auto it = owner_it;
   const int copies = std::min<int>(replicas_, static_cast<int>(ring_.size()));
   for (int i = 0; i < copies; ++i) {
-    it->second.store[key].insert(value);
+    it->second.store.insert(key, value);
     ++it;
     if (it == ring_.end()) it = ring_.begin();
   }
@@ -229,22 +221,15 @@ void ChordRing::erase(ChordKey key, std::uint64_t value) {
   const int window =
       std::min<int>(replicas_ + 2, static_cast<int>(ring_.size()));
   for (int i = 0; i < window; ++i) {
-    auto sit = it->second.store.find(key);
-    if (sit != it->second.store.end()) {
-      sit->second.erase(value);
-      if (sit->second.empty()) it->second.store.erase(sit);
-    }
+    it->second.store.erase(key, value);
     ++it;
     if (it == ring_.end()) it = ring_.begin();
   }
 }
 
-std::vector<std::uint64_t> ChordRing::get(ChordKey key) const {
+std::span<const std::uint64_t> ChordRing::values(ChordKey key) const {
   if (ring_.empty()) return {};
-  const auto it = successor(key);
-  const auto sit = it->second.store.find(key);
-  if (sit == it->second.store.end()) return {};
-  return {sit->second.begin(), sit->second.end()};
+  return successor(key)->second.store.values(key);
 }
 
 void ChordRing::stabilize_round(double fraction) {

@@ -17,7 +17,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "qsa/net/peer.hpp"
 #include "qsa/overlay/chord_id.hpp"
 #include "qsa/overlay/lookup.hpp"
+#include "qsa/overlay/value_store.hpp"
 #include "qsa/sim/time.hpp"
 
 namespace qsa::overlay {
@@ -71,7 +71,8 @@ class ChordRing final : public LookupService {
   void erase(ChordKey key, std::uint64_t value) override;
 
   /// Values stored under `key` at its current owner (what a lookup returns).
-  [[nodiscard]] std::vector<std::uint64_t> get(ChordKey key) const override;
+  [[nodiscard]] std::span<const std::uint64_t> values(
+      ChordKey key) const override;
 
   /// Refreshes the finger tables of roughly `fraction` of the nodes,
   /// cycling through the ring across calls (periodic stabilization).
@@ -97,7 +98,7 @@ class ChordRing final : public LookupService {
     // finger equal to the node's own key means "unset/useless" — routing
     // skips it (deferred joins fill the whole table with the own key).
     std::array<ChordKey, kKeyBits> fingers{};
-    std::map<ChordKey, std::set<std::uint64_t>> store;
+    ValueStore store;
   };
 
   using Ring = std::map<ChordKey, Node>;

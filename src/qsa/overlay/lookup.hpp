@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "qsa/fault/fault.hpp"
 #include "qsa/net/network.hpp"
@@ -63,7 +63,11 @@ class LookupService {
 
   virtual void insert(Key key, std::uint64_t value) = 0;
   virtual void erase(Key key, std::uint64_t value) = 0;
-  [[nodiscard]] virtual std::vector<std::uint64_t> get(Key key) const = 0;
+  /// The values stored under `key` at its current owner (what a lookup
+  /// returns), ascending, read in place: the span stays valid until the
+  /// next mutation of the overlay (insert, erase, join, leave, fail).
+  [[nodiscard]] virtual std::span<const std::uint64_t> values(
+      Key key) const = 0;
 
   /// Periodic maintenance (finger refresh, neighbor-table repair, ...).
   virtual void stabilize_round(double fraction) = 0;

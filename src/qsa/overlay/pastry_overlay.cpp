@@ -108,16 +108,9 @@ void PastryOverlay::join(net::PeerId peer) {
                            &*(it == ring_.begin() ? std::prev(ring_.end())
                                                   : std::prev(it))}) {
       if (neighbor->first == id) continue;
-      auto& store = neighbor->second.store;
-      for (auto sit = store.begin(); sit != store.end();) {
-        if (node_nearest(sit->first)->first == id) {
-          it->second.store[sit->first].insert(sit->second.begin(),
-                                              sit->second.end());
-          sit = store.erase(sit);
-        } else {
-          ++sit;
-        }
-      }
+      neighbor->second.store.move_to([&](Key k) {
+        return node_nearest(k)->first == id ? &it->second.store : nullptr;
+      });
     }
   }
   compute_routing(id, it->second);
@@ -134,10 +127,7 @@ void PastryOverlay::leave(net::PeerId peer) {
   ring_.erase(it);
   id_of_peer_.erase(pit);
   if (!ring_.empty()) {
-    for (auto& [key, values] : store) {
-      auto owner = node_nearest(key);
-      owner->second.store[key].insert(values.begin(), values.end());
-    }
+    store.move_to([this](Key k) { return &node_nearest(k)->second.store; });
   }
 }
 
@@ -297,14 +287,14 @@ void PastryOverlay::replicate_insert(Ring::iterator owner_it, Key key,
   const int copies = std::min<int>(replicas_, static_cast<int>(ring_.size()));
   auto fwd = owner_it;
   auto bwd = owner_it;
-  owner_it->second.store[key].insert(value);
+  owner_it->second.store.insert(key, value);
   for (int i = 1; i < copies; ++i) {
     if (i % 2 == 1) {
       fwd = std::next(fwd) == ring_.end() ? ring_.begin() : std::next(fwd);
-      fwd->second.store[key].insert(value);
+      fwd->second.store.insert(key, value);
     } else {
       bwd = bwd == ring_.begin() ? std::prev(ring_.end()) : std::prev(bwd);
-      bwd->second.store[key].insert(value);
+      bwd->second.store.insert(key, value);
     }
   }
 }
@@ -326,21 +316,15 @@ void PastryOverlay::erase(Key key, std::uint64_t value) {
   }
   const int window = std::min<int>(2 * half + 1, static_cast<int>(ring_.size()));
   for (int i = 0; i < window; ++i) {
-    if (auto sit = it->second.store.find(key); sit != it->second.store.end()) {
-      sit->second.erase(value);
-      if (sit->second.empty()) it->second.store.erase(sit);
-    }
+    it->second.store.erase(key, value);
     ++it;
     if (it == ring_.end()) it = ring_.begin();
   }
 }
 
-std::vector<std::uint64_t> PastryOverlay::get(Key key) const {
+std::span<const std::uint64_t> PastryOverlay::values(Key key) const {
   if (ring_.empty()) return {};
-  const auto it = node_nearest(key);
-  const auto sit = it->second.store.find(key);
-  if (sit == it->second.store.end()) return {};
-  return {sit->second.begin(), sit->second.end()};
+  return node_nearest(key)->second.store.values(key);
 }
 
 void PastryOverlay::stabilize_round(double fraction) {

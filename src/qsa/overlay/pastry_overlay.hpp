@@ -21,11 +21,11 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "qsa/overlay/lookup.hpp"
+#include "qsa/overlay/value_store.hpp"
 
 namespace qsa::overlay {
 
@@ -54,7 +54,7 @@ class PastryOverlay final : public LookupService {
 
   void insert(Key key, std::uint64_t value) override;
   void erase(Key key, std::uint64_t value) override;
-  [[nodiscard]] std::vector<std::uint64_t> get(Key key) const override;
+  [[nodiscard]] std::span<const std::uint64_t> values(Key key) const override;
 
   void stabilize_round(double fraction) override;
   void stabilize_all() override;
@@ -84,7 +84,7 @@ class PastryOverlay final : public LookupService {
     /// kNoEntry when empty.
     std::array<std::array<std::uint64_t, kBase>, kDigits> routing{};
     bool routing_valid = false;
-    std::map<Key, std::set<std::uint64_t>> store;
+    ValueStore store;
   };
   static constexpr std::uint64_t kNoEntry = 0;  // own slot is never used
 

@@ -80,9 +80,8 @@ DiscoveryStats ServiceDirectory::discover_into(ServiceId service,
   if (stats.ok()) {
     // Under fault injection a lookup whose hop messages were all lost never
     // reaches an owner: the discovery comes back empty (but still paid for).
-    for (std::uint64_t v : ring_.get(key)) {
-      out.push_back(static_cast<InstanceId>(v));
-    }
+    const auto values = ring_.values(key);
+    out.assign(values.begin(), values.end());
     // Only completed lookups are worth remembering; a lost lookup's empty
     // answer is not the directory's state.
     cache_.store(service, out, now);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "qsa/overlay/can_overlay.hpp"
@@ -12,6 +13,10 @@
 
 namespace qsa::overlay {
 namespace {
+
+std::vector<std::uint64_t> as_vector(std::span<const std::uint64_t> values) {
+  return {values.begin(), values.end()};
+}
 
 CanOverlay make_can(std::size_t nodes, std::uint64_t seed = 1,
                     int replicas = 2) {
@@ -129,12 +134,12 @@ TEST(CanOverlay, InsertGetErase) {
   const Key key = data_key(1, "svc");
   can.insert(key, 7);
   can.insert(key, 8);
-  EXPECT_EQ(can.get(key), (std::vector<std::uint64_t>{7, 8}));
+  EXPECT_EQ(as_vector(can.values(key)), (std::vector<std::uint64_t>{7, 8}));
   can.erase(key, 7);
-  EXPECT_EQ(can.get(key), (std::vector<std::uint64_t>{8}));
+  EXPECT_EQ(as_vector(can.values(key)), (std::vector<std::uint64_t>{8}));
   can.erase(key, 8);
-  EXPECT_TRUE(can.get(key).empty());
-  EXPECT_TRUE(can.get(data_key(1, "missing")).empty());
+  EXPECT_TRUE(can.values(key).empty());
+  EXPECT_TRUE(can.values(data_key(1, "missing")).empty());
 }
 
 TEST(CanOverlay, JoinMovesKeysWithZone) {
@@ -148,7 +153,7 @@ TEST(CanOverlay, JoinMovesKeysWithZone) {
   }
   for (net::PeerId p = 8; p < 40; ++p) can.join(p);
   for (const auto& [key, value] : data) {
-    const auto values = can.get(key);
+    const auto values = can.values(key);
     EXPECT_TRUE(std::find(values.begin(), values.end(), value) != values.end())
         << "value lost after joins split zones";
   }
@@ -164,7 +169,7 @@ TEST(CanOverlay, GracefulLeavePreservesData) {
   }
   for (net::PeerId p = 0; p < 16; ++p) can.leave(p);
   for (int i = 0; i < 64; ++i) {
-    const auto values = can.get(keys[static_cast<std::size_t>(i)]);
+    const auto values = can.values(keys[static_cast<std::size_t>(i)]);
     EXPECT_TRUE(std::find(values.begin(), values.end(),
                           static_cast<std::uint64_t>(i)) != values.end())
         << "key " << i << " lost after graceful leaves";
@@ -181,7 +186,7 @@ TEST(CanOverlay, SingleFailureSurvivedByReplicas) {
   }
   can.fail(7);
   for (int i = 0; i < 64; ++i) {
-    const auto values = can.get(keys[static_cast<std::size_t>(i)]);
+    const auto values = can.values(keys[static_cast<std::size_t>(i)]);
     EXPECT_TRUE(std::find(values.begin(), values.end(),
                           static_cast<std::uint64_t>(i)) != values.end())
         << "key " << i << " lost after one abrupt failure";
@@ -199,7 +204,7 @@ TEST(CanOverlay, LastNodeLeavingEmptiesOverlay) {
   auto can = make_can(1);
   can.leave(0);
   EXPECT_EQ(can.size(), 0u);
-  EXPECT_TRUE(can.get(42).empty());
+  EXPECT_TRUE(can.values(42).empty());
   // A fresh join bootstraps again.
   can.join(5);
   EXPECT_EQ(can.owner_of(42), 5u);

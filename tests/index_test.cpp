@@ -185,12 +185,12 @@ TEST_F(IndexFixture, PublishMintsOnePostingPerAttributePerProvider) {
     const auto peer = peers.peer(static_cast<net::PeerId>(p));
     const overlay::Key cpu_key =
         index_key(kSeed, Attribute::kCpu, s0, cpu_bucket(peer.capacity()[0]));
-    const auto at_cpu = ring.get(cpu_key);
+    const auto at_cpu = ring.values(cpu_key);
     EXPECT_TRUE(std::find(at_cpu.begin(), at_cpu.end(), posting) !=
                 at_cpu.end());
     const overlay::Key level_key =
         index_key(kSeed, Attribute::kLevel, s0, level_bucket(50));
-    const auto at_level = ring.get(level_key);
+    const auto at_level = ring.values(level_key);
     EXPECT_TRUE(std::find(at_level.begin(), at_level.end(), posting) !=
                 at_level.end());
   }
@@ -206,15 +206,15 @@ TEST_F(IndexFixture, RepublishReBucketsDriftedValuesOnce) {
   EXPECT_EQ(index.stats().publishes, 1u);
   const overlay::Key old_key =
       index_key(kSeed, Attribute::kUptime, s0, uptime_bucket(SimTime::minutes(7)));
-  EXPECT_EQ(ring.get(old_key).size(), 1u);
+  EXPECT_EQ(ring.values(old_key).size(), 1u);
 
   index.publish_all(SimTime::minutes(60));
   EXPECT_EQ(index.stats().updates, 1u);
   EXPECT_EQ(index.postings(), 1u);  // moved, not duplicated
-  EXPECT_TRUE(ring.get(old_key).empty());
+  EXPECT_TRUE(ring.values(old_key).empty());
   const overlay::Key new_key =
       index_key(kSeed, Attribute::kUptime, s0, uptime_bucket(SimTime::minutes(65)));
-  EXPECT_EQ(ring.get(new_key).size(), 1u);
+  EXPECT_EQ(ring.values(new_key).size(), 1u);
 }
 
 TEST_F(IndexFixture, UnpublishAndRemoveEraseEagerly) {

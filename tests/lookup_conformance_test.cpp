@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <vector>
 
 #include "qsa/overlay/can_overlay.hpp"
@@ -14,6 +15,10 @@
 
 namespace qsa::overlay {
 namespace {
+
+std::vector<std::uint64_t> as_vector(std::span<const std::uint64_t> values) {
+  return {values.begin(), values.end()};
+}
 
 template <typename T>
 class LookupConformance : public ::testing::Test {
@@ -85,12 +90,12 @@ TYPED_TEST(LookupConformance, StorageRoundTrip) {
     const Key key = rng();
     o->insert(key, static_cast<std::uint64_t>(i));
     o->insert(key, static_cast<std::uint64_t>(i) + 1000);
-    const auto values = o->get(key);
+    const auto values = o->values(key);
     EXPECT_EQ(std::set<std::uint64_t>(values.begin(), values.end()),
               (std::set<std::uint64_t>{static_cast<std::uint64_t>(i),
                                        static_cast<std::uint64_t>(i) + 1000}));
     o->erase(key, static_cast<std::uint64_t>(i));
-    EXPECT_EQ(o->get(key),
+    EXPECT_EQ(as_vector(o->values(key)),
               (std::vector<std::uint64_t>{static_cast<std::uint64_t>(i) + 1000}));
   }
 }
@@ -111,7 +116,7 @@ TYPED_TEST(LookupConformance, GracefulChurnNeverLosesData) {
     o->join(next++);
     o->stabilize_all();
     for (int i = 0; i < 50; ++i) {
-      const auto values = o->get(keys[static_cast<std::size_t>(i)]);
+      const auto values = o->values(keys[static_cast<std::size_t>(i)]);
       EXPECT_TRUE(std::find(values.begin(), values.end(),
                             static_cast<std::uint64_t>(i)) != values.end())
           << OverlayNames::GetName<TypeParam>(0) << " lost key " << i
@@ -140,7 +145,7 @@ TYPED_TEST(LookupConformance, AbruptFailureHealedByRepublish) {
   o->stabilize_all();
   publish_all();
   for (int i = 0; i < 40; ++i) {
-    const auto values = o->get(keys[static_cast<std::size_t>(i)]);
+    const auto values = o->values(keys[static_cast<std::size_t>(i)]);
     EXPECT_TRUE(std::find(values.begin(), values.end(),
                           static_cast<std::uint64_t>(i)) != values.end())
         << "key " << i;
@@ -180,7 +185,7 @@ TYPED_TEST(LookupConformance, LatencyAccountedWithNetwork) {
 
 TYPED_TEST(LookupConformance, GetOnEmptyOverlayIsEmpty) {
   auto o = TestFixture::make(10, 2);
-  EXPECT_TRUE(o->get(123).empty());
+  EXPECT_TRUE(o->values(123).empty());
 }
 
 TYPED_TEST(LookupConformance, LastNodeLeavingEmptiesOverlay) {
@@ -190,12 +195,12 @@ TYPED_TEST(LookupConformance, LastNodeLeavingEmptiesOverlay) {
   o->leave(0);
   EXPECT_EQ(o->size(), 0u);
   EXPECT_FALSE(o->contains(0));
-  EXPECT_TRUE(o->get(42).empty());
+  EXPECT_TRUE(o->values(42).empty());
   // The overlay bootstraps again afterwards.
   o->join(1);
   EXPECT_EQ(o->owner_of(42), 1u);
   o->insert(42, 9);
-  EXPECT_EQ(o->get(42), (std::vector<std::uint64_t>{9}));
+  EXPECT_EQ(as_vector(o->values(42)), (std::vector<std::uint64_t>{9}));
 }
 
 TYPED_TEST(LookupConformance, DoubleJoinForbiddenByContains) {
@@ -213,7 +218,7 @@ TYPED_TEST(LookupConformance, EraseOnEmptyOverlayIsNoop) {
   o->join(0);
   o->insert(42, 1);
   o->erase(42, 99);  // absent value: no-op
-  EXPECT_EQ(o->get(42), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(as_vector(o->values(42)), (std::vector<std::uint64_t>{1}));
 }
 
 }  // namespace

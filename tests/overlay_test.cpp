@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "qsa/net/network.hpp"
@@ -11,6 +12,10 @@
 
 namespace qsa::overlay {
 namespace {
+
+std::vector<std::uint64_t> as_vector(std::span<const std::uint64_t> values) {
+  return {values.begin(), values.end()};
+}
 
 // ------------------------------------------------------- ring intervals
 
@@ -128,8 +133,8 @@ TEST(ChordRing, InsertAndGet) {
   const ChordKey key = data_key(1, "service-a");
   ring.insert(key, 100);
   ring.insert(key, 200);
-  const auto values = ring.get(key);
-  EXPECT_EQ(values, (std::vector<std::uint64_t>{100, 200}));
+  const auto values = ring.values(key);
+  EXPECT_EQ(as_vector(values), (std::vector<std::uint64_t>{100, 200}));
 }
 
 TEST(ChordRing, InsertIsIdempotent) {
@@ -137,7 +142,7 @@ TEST(ChordRing, InsertIsIdempotent) {
   const ChordKey key = data_key(1, "svc");
   ring.insert(key, 5);
   ring.insert(key, 5);
-  EXPECT_EQ(ring.get(key).size(), 1u);
+  EXPECT_EQ(ring.values(key).size(), 1u);
 }
 
 TEST(ChordRing, EraseRemovesValue) {
@@ -146,14 +151,14 @@ TEST(ChordRing, EraseRemovesValue) {
   ring.insert(key, 5);
   ring.insert(key, 6);
   ring.erase(key, 5);
-  EXPECT_EQ(ring.get(key), (std::vector<std::uint64_t>{6}));
+  EXPECT_EQ(as_vector(ring.values(key)), (std::vector<std::uint64_t>{6}));
   ring.erase(key, 6);
-  EXPECT_TRUE(ring.get(key).empty());
+  EXPECT_TRUE(ring.values(key).empty());
 }
 
 TEST(ChordRing, GetMissingKeyIsEmpty) {
   auto ring = make_ring(8);
-  EXPECT_TRUE(ring.get(data_key(1, "nothing")).empty());
+  EXPECT_TRUE(ring.values(data_key(1, "nothing")).empty());
 }
 
 TEST(ChordRing, GracefulLeaveHandsOffKeys) {
@@ -168,7 +173,7 @@ TEST(ChordRing, GracefulLeaveHandsOffKeys) {
   for (net::PeerId p = 0; p < 16; ++p) ring.leave(p);
   ring.stabilize_all();
   for (int i = 0; i < 64; ++i) {
-    const auto values = ring.get(keys[static_cast<std::size_t>(i)]);
+    const auto values = ring.values(keys[static_cast<std::size_t>(i)]);
     EXPECT_TRUE(std::find(values.begin(), values.end(),
                           static_cast<std::uint64_t>(i)) != values.end())
         << "key " << i << " lost after graceful leaves";
@@ -187,7 +192,7 @@ TEST(ChordRing, AbruptFailureSurvivedByReplicas) {
   ring.fail(7);
   ring.stabilize_all();
   for (int i = 0; i < 64; ++i) {
-    const auto values = ring.get(keys[static_cast<std::size_t>(i)]);
+    const auto values = ring.values(keys[static_cast<std::size_t>(i)]);
     EXPECT_TRUE(std::find(values.begin(), values.end(),
                           static_cast<std::uint64_t>(i)) != values.end())
         << "key " << i << " lost after one abrupt failure";
@@ -243,7 +248,7 @@ TEST(ChordRing, JoinAfterDataMovesResponsibility) {
   for (net::PeerId p = 8; p < 24; ++p) ring.join(p);
   ring.stabilize_all();
   for (const auto& [key, value] : data) {
-    const auto values = ring.get(key);
+    const auto values = ring.values(key);
     EXPECT_TRUE(std::find(values.begin(), values.end(), value) != values.end())
         << "value lost after joins moved key ranges";
   }

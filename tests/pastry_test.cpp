@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <vector>
 
 #include "qsa/overlay/chord_id.hpp"
@@ -12,6 +13,10 @@
 
 namespace qsa::overlay {
 namespace {
+
+std::vector<std::uint64_t> as_vector(std::span<const std::uint64_t> values) {
+  return {values.begin(), values.end()};
+}
 
 PastryOverlay make_pastry(std::size_t nodes, std::uint64_t seed = 1,
                           int replicas = 2) {
@@ -104,11 +109,11 @@ TEST(PastryOverlay, InsertGetErase) {
   const Key key = data_key(1, "svc");
   p.insert(key, 7);
   p.insert(key, 8);
-  EXPECT_EQ(p.get(key), (std::vector<std::uint64_t>{7, 8}));
+  EXPECT_EQ(as_vector(p.values(key)), (std::vector<std::uint64_t>{7, 8}));
   p.erase(key, 7);
-  EXPECT_EQ(p.get(key), (std::vector<std::uint64_t>{8}));
+  EXPECT_EQ(as_vector(p.values(key)), (std::vector<std::uint64_t>{8}));
   p.erase(key, 8);
-  EXPECT_TRUE(p.get(key).empty());
+  EXPECT_TRUE(p.values(key).empty());
 }
 
 TEST(PastryOverlay, JoinMovesOwnership) {
@@ -124,7 +129,7 @@ TEST(PastryOverlay, JoinMovesOwnership) {
   for (net::PeerId id = 8; id < 40; ++id) p.join(id);
   p.stabilize_all();
   for (const auto& [key, value] : data) {
-    const auto values = p.get(key);
+    const auto values = p.values(key);
     EXPECT_TRUE(std::find(values.begin(), values.end(), value) != values.end())
         << "value lost after joins";
   }
@@ -140,7 +145,7 @@ TEST(PastryOverlay, GracefulLeavePreservesData) {
   }
   for (net::PeerId id = 0; id < 16; ++id) p.leave(id);
   for (int i = 0; i < 64; ++i) {
-    const auto values = p.get(keys[static_cast<std::size_t>(i)]);
+    const auto values = p.values(keys[static_cast<std::size_t>(i)]);
     EXPECT_TRUE(std::find(values.begin(), values.end(),
                           static_cast<std::uint64_t>(i)) != values.end())
         << "key " << i;
@@ -157,7 +162,7 @@ TEST(PastryOverlay, SingleFailureSurvivedByReplicas) {
   }
   p.fail(9);
   for (int i = 0; i < 64; ++i) {
-    const auto values = p.get(keys[static_cast<std::size_t>(i)]);
+    const auto values = p.values(keys[static_cast<std::size_t>(i)]);
     EXPECT_TRUE(std::find(values.begin(), values.end(),
                           static_cast<std::uint64_t>(i)) != values.end())
         << "key " << i;

@@ -3,11 +3,21 @@
 // step by step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
+#include <memory>
 #include <queue>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "qsa/overlay/can_overlay.hpp"
+#include "qsa/overlay/chord_id.hpp"
+#include "qsa/overlay/chord_ring.hpp"
+#include "qsa/overlay/pastry_overlay.hpp"
+#include "qsa/overlay/value_store.hpp"
 #include "qsa/probe/neighbor_table.hpp"
 #include "qsa/qos/vector.hpp"
 #include "qsa/sim/event_queue.hpp"
@@ -431,6 +441,638 @@ TEST(NeighborTableDifferential, SmallRefreshKeepsCachedVictimInPlace) {
   EXPECT_EQ(table.entries().count(1), 0u);
   EXPECT_EQ(table.entries().count(2), 1u);
   EXPECT_TRUE(same_entries(table, ref));
+}
+
+// ------------------------------------------------- Overlay value store
+//
+// The overlays' flat value store against the node-based layout it replaced:
+// every node's store is modelled as std::map<Key, std::set<uint64_t>>, and
+// each overlay's placement rules (who stores a key, where keys move on join,
+// leave and failure) are re-derived here from the protocol and the public
+// id/zone functions — never from the store under test. After every step,
+// each key's values at its owner must match the model's, in order.
+
+using RefValues = std::set<std::uint64_t>;
+using RefStore = std::map<overlay::Key, RefValues>;
+
+std::vector<std::uint64_t> as_vector(std::span<const std::uint64_t> values) {
+  return {values.begin(), values.end()};
+}
+
+/// How often the fuzz hit the store operations most likely to go wrong.
+struct StoreCoverage {
+  int overlapping_merges = 0;  ///< unions of distinct, overlapping value sets
+  int takeovers = 0;           ///< CAN departures a donor node absorbed
+  int emptied_keys = 0;        ///< erases of a key's last value at its owner
+};
+
+void ref_merge(RefValues& into, const RefValues& from, StoreCoverage& cov) {
+  if (!into.empty() && into != from &&
+      std::any_of(from.begin(), from.end(),
+                  [&into](std::uint64_t v) { return into.contains(v); })) {
+    ++cov.overlapping_merges;
+  }
+  into.insert(from.begin(), from.end());
+}
+
+void ref_erase(RefStore& store, overlay::Key key, std::uint64_t value,
+               bool at_owner, StoreCoverage& cov) {
+  const auto it = store.find(key);
+  if (it == store.end() || it->second.erase(value) == 0) return;
+  if (it->second.empty()) {
+    store.erase(it);
+    if (at_owner) ++cov.emptied_keys;
+  }
+}
+
+/// Applies every operation to the overlay under test and to the model.
+class OverlayModel {
+ public:
+  virtual ~OverlayModel() = default;
+  virtual void join(net::PeerId peer) = 0;
+  virtual void depart(net::PeerId peer, bool graceful) = 0;
+  virtual void insert(overlay::Key key, std::uint64_t value) = 0;
+  virtual void erase(overlay::Key key, std::uint64_t value) = 0;
+  [[nodiscard]] virtual net::PeerId owner(overlay::Key key) const = 0;
+  [[nodiscard]] virtual const overlay::LookupService& overlay() const = 0;
+
+  [[nodiscard]] RefValues expected(overlay::Key key) const {
+    const auto node = stores.find(owner(key));
+    if (node == stores.end()) return {};
+    const auto it = node->second.find(key);
+    return it == node->second.end() ? RefValues{} : it->second;
+  }
+
+  std::map<net::PeerId, RefStore> stores;
+  StoreCoverage cov;
+};
+
+/// Chord: a key lives on its successor node plus replicas - 1 successors; a
+/// join takes (predecessor, new] from the successor, a leave hands the whole
+/// store to the successor.
+class ChordModel final : public OverlayModel {
+ public:
+  ChordModel(std::uint64_t seed, int replicas)
+      : seed_(seed), replicas_(replicas), ring_(seed, replicas) {}
+
+  void join(net::PeerId peer) override {
+    const overlay::ChordKey at = overlay::node_key(seed_, peer);
+    if (!nodes_.empty()) {
+      const auto succ = successor(at);
+      const auto pred = prev(succ);
+      RefStore& from = stores[succ->second];
+      RefStore& to = stores[peer];
+      for (auto it = from.begin(); it != from.end();) {
+        if (overlay::in_interval_oc(pred->first, at, it->first)) {
+          ref_merge(to[it->first], it->second, cov);
+          it = from.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    nodes_.emplace(at, peer);
+    ring_.join(peer);
+  }
+
+  void depart(net::PeerId peer, bool graceful) override {
+    const auto it = nodes_.find(overlay::node_key(seed_, peer));
+    if (graceful && nodes_.size() > 1) {
+      RefStore& to = stores[next(it)->second];
+      for (const auto& [key, values] : stores[peer]) {
+        ref_merge(to[key], values, cov);
+      }
+    }
+    stores.erase(peer);
+    nodes_.erase(it);
+    if (graceful) {
+      ring_.leave(peer);
+    } else {
+      ring_.fail(peer);
+    }
+  }
+
+  void insert(overlay::Key key, std::uint64_t value) override {
+    auto it = successor(key);
+    const int copies = std::min<int>(replicas_, static_cast<int>(nodes_.size()));
+    for (int i = 0; i < copies; ++i, it = next(it)) {
+      stores[it->second][key].insert(value);
+    }
+    ring_.insert(key, value);
+  }
+
+  void erase(overlay::Key key, std::uint64_t value) override {
+    auto it = successor(key);
+    const int window =
+        std::min<int>(replicas_ + 2, static_cast<int>(nodes_.size()));
+    for (int i = 0; i < window; ++i, it = next(it)) {
+      ref_erase(stores[it->second], key, value, i == 0, cov);
+    }
+    ring_.erase(key, value);
+  }
+
+  [[nodiscard]] net::PeerId owner(overlay::Key key) const override {
+    return successor(key)->second;
+  }
+  [[nodiscard]] const overlay::LookupService& overlay() const override {
+    return ring_;
+  }
+
+ private:
+  using Nodes = std::map<overlay::ChordKey, net::PeerId>;
+  [[nodiscard]] Nodes::const_iterator successor(overlay::Key key) const {
+    const auto it = nodes_.lower_bound(key);
+    return it == nodes_.end() ? nodes_.begin() : it;
+  }
+  [[nodiscard]] Nodes::const_iterator next(Nodes::const_iterator it) const {
+    return std::next(it) == nodes_.end() ? nodes_.begin() : std::next(it);
+  }
+  [[nodiscard]] Nodes::const_iterator prev(Nodes::const_iterator it) const {
+    return it == nodes_.begin() ? std::prev(nodes_.end()) : std::prev(it);
+  }
+
+  std::uint64_t seed_;
+  int replicas_;
+  Nodes nodes_;
+  overlay::ChordRing ring_;
+};
+
+/// Pastry: a key lives on the numerically closest node (ties to the lower
+/// id) plus neighbors on alternating sides; a join pulls the keys it is now
+/// closest to from both ring neighbors, a leave hands each key to its new
+/// closest node.
+class PastryModel final : public OverlayModel {
+ public:
+  PastryModel(std::uint64_t seed, int replicas)
+      : seed_(seed), replicas_(replicas), pastry_(seed, replicas) {}
+
+  void join(net::PeerId peer) override {
+    const std::uint64_t id = node_id(peer);
+    const auto it = nodes_.emplace(id, peer).first;
+    if (nodes_.size() > 1) {
+      for (const auto neighbor : {next(it), prev(it)}) {
+        if (neighbor->first == id) continue;
+        RefStore& from = stores[neighbor->second];
+        for (auto kit = from.begin(); kit != from.end();) {
+          if (nearest(kit->first)->first == id) {
+            ref_merge(stores[peer][kit->first], kit->second, cov);
+            kit = from.erase(kit);
+          } else {
+            ++kit;
+          }
+        }
+      }
+    }
+    pastry_.join(peer);
+  }
+
+  void depart(net::PeerId peer, bool graceful) override {
+    const RefStore departed = stores[peer];
+    stores.erase(peer);
+    nodes_.erase(node_id(peer));
+    if (graceful && !nodes_.empty()) {
+      for (const auto& [key, values] : departed) {
+        ref_merge(stores[nearest(key)->second][key], values, cov);
+      }
+    }
+    if (graceful) {
+      pastry_.leave(peer);
+    } else {
+      pastry_.fail(peer);
+    }
+  }
+
+  void insert(overlay::Key key, std::uint64_t value) override {
+    const auto owner_it = nearest(key);
+    const int copies = std::min<int>(replicas_, static_cast<int>(nodes_.size()));
+    auto fwd = owner_it;
+    auto bwd = owner_it;
+    stores[owner_it->second][key].insert(value);
+    for (int i = 1; i < copies; ++i) {
+      if (i % 2 == 1) {
+        fwd = next(fwd);
+        stores[fwd->second][key].insert(value);
+      } else {
+        bwd = prev(bwd);
+        stores[bwd->second][key].insert(value);
+      }
+    }
+    pastry_.insert(key, value);
+  }
+
+  void erase(overlay::Key key, std::uint64_t value) override {
+    const auto owner_it = nearest(key);
+    const int size = static_cast<int>(nodes_.size());
+    const int half = std::min<int>(replicas_ / 2 + 2, size / 2);
+    auto it = owner_it;
+    for (int i = 0; i < half; ++i) it = prev(it);
+    const int window = std::min<int>(2 * half + 1, size);
+    for (int i = 0; i < window; ++i, it = next(it)) {
+      ref_erase(stores[it->second], key, value, it == owner_it, cov);
+    }
+    pastry_.erase(key, value);
+  }
+
+  [[nodiscard]] net::PeerId owner(overlay::Key key) const override {
+    return nearest(key)->second;
+  }
+  [[nodiscard]] const overlay::LookupService& overlay() const override {
+    return pastry_;
+  }
+
+ private:
+  using Nodes = std::map<std::uint64_t, net::PeerId>;
+  [[nodiscard]] std::uint64_t node_id(net::PeerId peer) const {
+    return overlay::node_key(seed_ ^ util::hash_str("pastry-node"), peer);
+  }
+  [[nodiscard]] Nodes::const_iterator next(Nodes::const_iterator it) const {
+    return std::next(it) == nodes_.end() ? nodes_.begin() : std::next(it);
+  }
+  [[nodiscard]] Nodes::const_iterator prev(Nodes::const_iterator it) const {
+    return it == nodes_.begin() ? std::prev(nodes_.end()) : std::prev(it);
+  }
+  [[nodiscard]] Nodes::const_iterator nearest(std::uint64_t key) const {
+    // Brute force over every node: circular distance, ties to the lower id.
+    auto best = nodes_.begin();
+    for (auto it = nodes_.begin(); it != nodes_.end(); ++it) {
+      const auto d = overlay::PastryOverlay::circular_dist(it->first, key);
+      const auto bd = overlay::PastryOverlay::circular_dist(best->first, key);
+      if (d < bd) best = it;  // equal distance keeps the lower id
+    }
+    return best;
+  }
+
+  std::uint64_t seed_;
+  int replicas_;
+  Nodes nodes_;
+  overlay::PastryOverlay pastry_;
+};
+
+/// CAN: a key lives on the node whose zone holds its point plus the next
+/// replicas - 1 leaves of the split tree in order; a join moves the keys
+/// whose point falls in the newcomer's half, a departure gives each changed
+/// zone the union of the old stores it now covers (the departed store
+/// only when it left gracefully). The split tree's leaf order is rebuilt
+/// from the zones: every split halves a zone along its longest side.
+class CanModel final : public OverlayModel {
+ public:
+  CanModel(std::uint64_t seed, int replicas)
+      : seed_(seed), replicas_(replicas), can_(seed, replicas) {}
+
+  void join(net::PeerId peer) override {
+    net::PeerId occupant = net::kNoPeer;
+    if (!members_.empty()) {
+      occupant = holder(overlay::can_point(seed_ ^ util::hash_str("can-node"),
+                                           peer));
+    }
+    can_.join(peer);
+    members_.insert(peer);
+    if (occupant == net::kNoPeer) return;
+    const Zone zone = can_.zone_of(peer);
+    RefStore& from = stores[occupant];
+    for (auto it = from.begin(); it != from.end();) {
+      if (zone.contains(overlay::can_point(seed_, it->first))) {
+        ref_merge(stores[peer][it->first], it->second, cov);
+        it = from.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  void depart(net::PeerId peer, bool graceful) override {
+    std::map<net::PeerId, Zone> before;
+    for (const net::PeerId m : members_) before[m] = can_.zone_of(m);
+    std::map<net::PeerId, RefStore> old = stores;
+    if (!graceful) old.erase(peer);
+    if (graceful) {
+      can_.leave(peer);
+    } else {
+      can_.fail(peer);
+    }
+    members_.erase(peer);
+    stores.erase(peer);
+    for (const net::PeerId q : members_) {
+      const Zone now = can_.zone_of(q);
+      if (same(now, before[q])) continue;
+      if (same(now, before[peer])) ++cov.takeovers;
+      RefStore merged;
+      for (const auto& [r, zone] : before) {
+        if (!inside(zone, now)) continue;
+        for (const auto& [key, values] : old[r]) {
+          ref_merge(merged[key], values, cov);
+        }
+      }
+      stores[q] = std::move(merged);
+    }
+  }
+
+  void insert(overlay::Key key, std::uint64_t value) override {
+    for (const net::PeerId holder : replica_window(key, replicas_)) {
+      stores[holder][key].insert(value);
+    }
+    can_.insert(key, value);
+  }
+
+  void erase(overlay::Key key, std::uint64_t value) override {
+    const auto window = replica_window(key, replicas_ + 2);
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      ref_erase(stores[window[i]], key, value, i == 0, cov);
+    }
+    can_.erase(key, value);
+  }
+
+  [[nodiscard]] net::PeerId owner(overlay::Key key) const override {
+    return holder(overlay::can_point(seed_, key));
+  }
+  [[nodiscard]] const overlay::LookupService& overlay() const override {
+    return can_;
+  }
+
+ private:
+  using Zone = overlay::CanOverlay::Zone;
+
+  static bool same(const Zone& a, const Zone& b) {
+    return a.lo == b.lo && a.hi == b.hi;
+  }
+  static bool inside(const Zone& a, const Zone& b) {
+    for (std::size_t d = 0; d < overlay::kCanDims; ++d) {
+      if (a.lo[d] < b.lo[d] || a.hi[d] > b.hi[d]) return false;
+    }
+    return true;
+  }
+
+  [[nodiscard]] net::PeerId holder(const overlay::CanPoint& p) const {
+    for (const net::PeerId m : members_) {
+      if (can_.zone_of(m).contains(p)) return m;
+    }
+    ADD_FAILURE() << "no zone holds the point";
+    return net::kNoPeer;
+  }
+
+  /// The owner of `key` and the leaves after it in tree order, `count` in
+  /// all (capped at the membership, as the overlay caps it).
+  [[nodiscard]] std::vector<net::PeerId> replica_window(overlay::Key key,
+                                                        int count) const {
+    std::vector<net::PeerId> order;
+    Zone root;
+    root.lo.fill(0.0);
+    root.hi.fill(1.0);
+    leaves_in_order(root, 0, order);
+    const net::PeerId first = owner(key);
+    const auto at = static_cast<std::size_t>(
+        std::find(order.begin(), order.end(), first) - order.begin());
+    std::vector<net::PeerId> out;
+    const int n = std::min<int>(count, static_cast<int>(order.size()));
+    for (int i = 0; i < n; ++i) {
+      out.push_back(order[(at + static_cast<std::size_t>(i)) % order.size()]);
+    }
+    return out;
+  }
+
+  void leaves_in_order(const Zone& zone, int depth,
+                       std::vector<net::PeerId>& out) const {
+    for (const net::PeerId m : members_) {
+      if (same(can_.zone_of(m), zone)) {
+        out.push_back(m);
+        return;
+      }
+    }
+    if (depth > 64) {
+      ADD_FAILURE() << "zones do not tile the split tree";
+      return;
+    }
+    std::size_t dim = 0;
+    for (std::size_t d = 1; d < overlay::kCanDims; ++d) {
+      if (zone.hi[d] - zone.lo[d] > zone.hi[dim] - zone.lo[dim]) dim = d;
+    }
+    const double mid = (zone.lo[dim] + zone.hi[dim]) / 2;
+    Zone lower = zone;
+    lower.hi[dim] = mid;
+    Zone upper = zone;
+    upper.lo[dim] = mid;
+    leaves_in_order(lower, depth + 1, out);
+    leaves_in_order(upper, depth + 1, out);
+  }
+
+  std::uint64_t seed_;
+  int replicas_;
+  std::set<net::PeerId> members_;
+  overlay::CanOverlay can_;
+};
+
+enum class StoreOverlay { kChord, kCan, kPastry };
+
+std::unique_ptr<OverlayModel> make_store_model(StoreOverlay kind,
+                                               std::uint64_t seed,
+                                               int replicas) {
+  switch (kind) {
+    case StoreOverlay::kChord:
+      return std::make_unique<ChordModel>(seed, replicas);
+    case StoreOverlay::kCan:
+      return std::make_unique<CanModel>(seed, replicas);
+    case StoreOverlay::kPastry:
+      return std::make_unique<PastryModel>(seed, replicas);
+  }
+  return nullptr;
+}
+
+::testing::AssertionResult owners_match(const OverlayModel& model,
+                                        const std::vector<overlay::Key>& keys) {
+  for (const overlay::Key key : keys) {
+    const net::PeerId owner = model.owner(key);
+    if (model.overlay().owner_of(key) != owner) {
+      return ::testing::AssertionFailure()
+             << "model owner " << owner << " != overlay owner "
+             << model.overlay().owner_of(key) << " for key " << key;
+    }
+    const RefValues want = model.expected(key);
+    const std::vector<std::uint64_t> expected(want.begin(), want.end());
+    const std::vector<std::uint64_t> got = as_vector(model.overlay().values(key));
+    if (got != expected) {
+      auto failure = ::testing::AssertionFailure();
+      failure << "key " << key << " at owner " << owner << ": got {";
+      for (const auto v : got) failure << ' ' << v;
+      failure << " }, expected {";
+      for (const auto v : expected) failure << ' ' << v;
+      return failure << " }";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct StoreCase {
+  StoreOverlay overlay;
+  int replicas;
+  std::uint64_t seed;
+};
+
+/// Runs `steps` random insert / erase / join / leave / fail steps and checks
+/// every key at its owner after each one; returns the coverage reached.
+StoreCoverage run_store_differential(const StoreCase& c, int steps) {
+  auto model = make_store_model(c.overlay, c.seed, c.replicas);
+  util::Rng rng(util::derive_seed(c.seed, "overlay-store-model", 0));
+  std::vector<overlay::Key> keys;
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    keys.push_back(overlay::data_key(c.seed, i));
+  }
+  std::vector<net::PeerId> members;
+  net::PeerId next_peer = 0;
+  auto join = [&] {
+    model->join(next_peer);
+    members.push_back(next_peer++);
+  };
+  for (int i = 0; i < 6; ++i) join();
+
+  for (int step = 0; step < steps; ++step) {
+    const std::size_t action = rng.index(20);
+    const overlay::Key key = keys[rng.index(keys.size())];
+    if (action < 8) {
+      model->insert(key, rng.index(40));
+    } else if (action < 12) {
+      // Mostly erase a value the owner holds, so keys drain to empty.
+      const RefValues held = model->expected(key);
+      std::uint64_t value = rng.index(40);
+      if (!held.empty() && rng.index(4) != 0) {
+        value = *std::next(held.begin(),
+                           static_cast<std::ptrdiff_t>(rng.index(held.size())));
+      }
+      model->erase(key, value);
+    } else if (action < 15 && members.size() < 24) {
+      join();
+    } else if (action >= 15 && members.size() > 2) {
+      const std::size_t i = rng.index(members.size());
+      const net::PeerId peer = members[i];
+      members[i] = members.back();
+      members.pop_back();
+      model->depart(peer, /*graceful=*/action < 18);
+    } else {
+      model->insert(key, rng.index(40));
+    }
+    const auto ok = owners_match(*model, keys);
+    if (!ok) {
+      ADD_FAILURE() << "step " << step << ": " << ok.message();
+      break;
+    }
+  }
+  return model->cov;
+}
+
+class OverlayStoreDifferential : public ::testing::TestWithParam<StoreCase> {};
+
+TEST_P(OverlayStoreDifferential, OwnerValuesMatchSetReference) {
+  const StoreCoverage cov = run_store_differential(GetParam(), 2000);
+  EXPECT_GT(cov.emptied_keys, 0);
+  if (GetParam().replicas > 1) {
+    EXPECT_GT(cov.overlapping_merges, 0);
+  }
+  if (GetParam().overlay == StoreOverlay::kCan) {
+    EXPECT_GT(cov.takeovers, 0);
+  }
+}
+
+std::vector<StoreCase> store_cases() {
+  std::vector<StoreCase> cases;
+  for (const auto overlay :
+       {StoreOverlay::kChord, StoreOverlay::kCan, StoreOverlay::kPastry}) {
+    for (const int replicas : {1, 2}) {
+      for (const std::uint64_t seed : {1, 2}) {
+        cases.push_back({overlay, replicas, seed});
+      }
+    }
+  }
+  return cases;
+}
+
+std::string store_case_name(const ::testing::TestParamInfo<StoreCase>& info) {
+  const char* names[] = {"chord", "can", "pastry"};
+  return std::string(names[static_cast<int>(info.param.overlay)]) + "_r" +
+         std::to_string(info.param.replicas) + "_seed" +
+         std::to_string(info.param.seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Overlays, OverlayStoreDifferential,
+                         ::testing::ValuesIn(store_cases()), store_case_name);
+
+// The store alone: four stores moving keys between each other at random,
+// each against its own std::map<Key, std::set> reference.
+TEST(ValueStoreModel, MatchesSetReferenceUnderRandomMoves) {
+  util::Rng rng(util::derive_seed(5, "value-store-model", 0));
+  std::array<overlay::ValueStore, 4> stores;
+  std::array<RefStore, 4> refs;
+  StoreCoverage cov;
+  for (int step = 0; step < 5000; ++step) {
+    const std::size_t s = rng.index(stores.size());
+    const overlay::Key key = rng.index(12);
+    const std::uint64_t value = rng.index(30);
+    const std::size_t action = rng.index(10);
+    if (action < 5) {
+      stores[s].insert(key, value);
+      refs[s][key].insert(value);
+    } else if (action < 8) {
+      stores[s].erase(key, value);
+      ref_erase(refs[s], key, value, true, cov);
+    } else {
+      // Each key independently stays or moves to another random store.
+      std::array<std::size_t, 12> dest{};
+      for (auto& d : dest) d = rng.index(stores.size());
+      stores[s].move_to([&](overlay::Key k) -> overlay::ValueStore* {
+        return dest[k] == s ? nullptr : &stores[dest[k]];
+      });
+      for (auto it = refs[s].begin(); it != refs[s].end();) {
+        if (dest[it->first] == s) {
+          ++it;
+          continue;
+        }
+        ref_merge(refs[dest[it->first]][it->first], it->second, cov);
+        it = refs[s].erase(it);
+      }
+    }
+    for (std::size_t i = 0; i < stores.size(); ++i) {
+      EXPECT_EQ(stores[i].empty(), refs[i].empty()) << "step " << step;
+      for (overlay::Key k = 0; k < 12; ++k) {
+        const auto it = refs[i].find(k);
+        const std::vector<std::uint64_t> want =
+            it == refs[i].end()
+                ? std::vector<std::uint64_t>{}
+                : std::vector<std::uint64_t>(it->second.begin(),
+                                             it->second.end());
+        ASSERT_EQ(as_vector(stores[i].values(k)), want)
+            << "step " << step << " store " << i << " key " << k;
+      }
+    }
+  }
+  EXPECT_GT(cov.overlapping_merges, 0);
+  EXPECT_GT(cov.emptied_keys, 0);
+}
+
+// A leave handoff whose two sides share some values and not others: the
+// receiver ends with the sorted union, each value once.
+TEST(ValueStoreModel, MergeOfOverlappingSetsIsSortedUnion) {
+  overlay::ValueStore leaving;
+  overlay::ValueStore successor;
+  for (const std::uint64_t v : {5, 1, 3}) leaving.insert(7, v);
+  for (const std::uint64_t v : {6, 3, 2}) successor.insert(7, v);
+  successor.insert(9, 4);
+  leaving.move_to([&](overlay::Key) { return &successor; });
+  EXPECT_TRUE(leaving.empty());
+  EXPECT_EQ(as_vector(successor.values(7)),
+            (std::vector<std::uint64_t>{1, 2, 3, 5, 6}));
+  EXPECT_EQ(as_vector(successor.values(9)), (std::vector<std::uint64_t>{4}));
+}
+
+// Erasing a key's last value drops the key; erasing an absent value or key
+// changes nothing.
+TEST(ValueStoreModel, EraseOfLastValueDropsKey) {
+  overlay::ValueStore store;
+  store.insert(3, 8);
+  store.insert(3, 8);
+  store.erase(3, 9);
+  store.erase(4, 8);
+  EXPECT_EQ(as_vector(store.values(3)), (std::vector<std::uint64_t>{8}));
+  store.erase(3, 8);
+  EXPECT_TRUE(store.values(3).empty());
+  EXPECT_TRUE(store.empty());
 }
 
 }  // namespace

@@ -10,19 +10,13 @@
 //   * CancelHeavy/N — every other event is cancelled before it fires (churn
 //                     cancelling peer timers; the legacy engine pays the
 //                     side-table + skim cost here).
-// The BM_ShardWorld/K rows measure the same message-plane workload at K
-// shards on the shared pool; tools/check_shard_speedup.py pairs K=1 vs K=4
-// and gates the parallel speedup (BENCH_shard.json artifact), skipping on
-// hosts with fewer than 4 hardware threads.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "legacy_event_queue.hpp"
 #include "qsa/harness/grid.hpp"
-#include "qsa/harness/shard_world.hpp"
 #include "qsa/sim/event_queue.hpp"
 #include "qsa/sim/time.hpp"
 
@@ -121,53 +115,6 @@ void BM_GridWallclock(benchmark::State& state) {
       benchmark::Counter(events, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GridWallclock)->Arg(60)->Arg(240)->Unit(benchmark::kMillisecond);
-
-// The sharded message-plane engine at K = range(0) shards: one large cell
-// (~2k peers, every peer probing/looking-up/reserving on a 250 ms tick), the
-// digest identical for every K by construction (the golden suite pins it).
-// Counters: merged events/sec, the barrier idle fraction (summed worker
-// wait / summed worker wall), per-shard event balance, and the host's
-// hardware threads so the speedup gate can tell a 1-core runner from a
-// regression.
-void BM_ShardWorld(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  double events = 0;
-  double idle_ms = 0;
-  double busy_ms = 0;
-  double balance = 1.0;
-  for (auto _ : state) {
-    harness::ShardWorldConfig cfg;
-    cfg.seed = 11;
-    cfg.peers = 2048;
-    cfg.shards = shards;
-    cfg.horizon = sim::SimTime::seconds(8);
-    cfg.tick_period = sim::SimTime::millis(250);
-    // A 5 ms delay floor widens the conservative window 5x (~350 events per
-    // epoch instead of ~70): the bench measures shard throughput, not
-    // barrier overhead at the finest admissible lookahead.
-    cfg.min_delay = sim::SimTime::millis(5);
-    harness::ShardWorld world(cfg);
-    const auto r = world.run();
-    benchmark::DoNotOptimize(r.digest);
-    events += static_cast<double>(r.events);
-    idle_ms += r.runtime.idle_ms;
-    busy_ms += r.runtime.busy_ms;
-    std::uint64_t lo = r.runtime.shard_events[0], hi = lo;
-    for (std::uint64_t e : r.runtime.shard_events) {
-      lo = e < lo ? e : lo;
-      hi = e > hi ? e : hi;
-    }
-    balance = hi > 0 ? static_cast<double>(lo) / static_cast<double>(hi) : 1.0;
-  }
-  state.counters["events_per_sec"] =
-      benchmark::Counter(events, benchmark::Counter::kIsRate);
-  const double wall = idle_ms + busy_ms;
-  state.counters["idle_fraction"] = wall > 0 ? idle_ms / wall : 0.0;
-  state.counters["shard_balance"] = balance;
-  state.counters["hw_threads"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_ShardWorld)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -62,9 +62,8 @@ void print_usage() {
       "  --track-load       provider-load concentration accounting without\n"
       "                     replication (implied by --replication)\n"
       "  --seed=S           root seed (default 42)\n"
-      "  --shards=K         worker shards for the order-free phases: K>1\n"
-      "                     fans the bootstrap's overlay stabilization out\n"
-      "                     over the shared thread pool (default 1; output\n"
+      "  --shards=K         K>1 runs the bootstrap's overlay stabilization\n"
+      "                     on the shared thread pool (default 1; output\n"
       "                     is byte-identical for any K)\n"
       "  --profile          wall-clock the bootstrap and event-loop phases\n"
       "                     (summary on stderr; with --metrics-out, also\n"

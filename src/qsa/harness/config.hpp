@@ -143,11 +143,9 @@ struct GridConfig {
   sim::SimTime horizon = sim::SimTime::minutes(400);
   sim::SimTime sample_period = sim::SimTime::minutes(2);
 
-  /// Worker parallelism for the phases that are provably order-free: >1
-  /// fans the bootstrap's overlay stabilization out over the shared pool
-  /// (byte-identical output; see ChordRing::stabilize_all_on) and is the
-  /// shard count the message-plane engine (ShardWorld/ShardRuntime) runs
-  /// with. 1 (the default) never touches the pool.
+  /// >1 runs the bootstrap's overlay stabilization on the shared pool
+  /// (byte-identical output; see ChordRing::stabilize_all_on). 1 (the
+  /// default) never touches the pool.
   std::size_t shards = 1;
 
   // --- observability ---

@@ -54,17 +54,6 @@ class NetworkModel {
   /// Loopback (a == b) capacity: effectively unconstrained.
   static constexpr double kLoopbackKbps = 1e9;
 
-  /// Smallest latency either derivation can assign to a distinct-peer pair —
-  /// the conservative-lookahead bound for the sharded runtime: a message
-  /// emitted at time t toward another peer arrives no earlier than
-  /// t + min_latency(). Both models draw from kLatencyLevelsMs, so this is
-  /// simply the smallest level.
-  [[nodiscard]] static constexpr sim::SimTime min_latency() noexcept {
-    std::int64_t lo = kLatencyLevelsMs[0];
-    for (std::int64_t level : kLatencyLevelsMs) lo = level < lo ? level : lo;
-    return sim::SimTime::millis(lo);
-  }
-
   /// Ledger entries below the eviction floor are never swept; golden-scale
   /// runs (hundreds of peers) therefore keep every entry ever touched and
   /// stay byte-identical, while large grids plateau at the floor plus their

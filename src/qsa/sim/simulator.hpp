@@ -21,18 +21,9 @@ class Simulator {
   }
 
   /// Schedules `action` at absolute time `at` (clamped to now if earlier).
+  /// Equal-time events fire in the order they were scheduled.
   EventHandle schedule_at(SimTime at, EventQueue::Action action) {
     return queue_.schedule(at < now_ ? now_ : at, std::move(action));
-  }
-
-  /// Keyed variants: equal-time events fire in ascending key order instead
-  /// of schedule order. The sharded runtime uses keys derived from
-  /// simulation state so the total order is independent of which thread
-  /// enqueued an event first.
-  EventHandle schedule_at_keyed(SimTime at, std::uint64_t key,
-                                EventQueue::Action action) {
-    return queue_.schedule_keyed(at < now_ ? now_ : at, key,
-                                 std::move(action));
   }
 
   void cancel(EventHandle h) { queue_.cancel(h); }

@@ -1,6 +1,6 @@
 // The process's one worker pool. Three subsystems share it — the experiment
 // harness (independent simulation cells), the serving loop's per-shard
-// request threads, and the sharded simulation runtime's barrier epochs — so
+// request threads, and the grid bootstrap's chunked finger rebuild — so
 // there is exactly one place that owns threads (see shared_pool()).
 //
 // Individual simulations stay deterministic under any worker count because
@@ -77,8 +77,9 @@ class ThreadPool {
 };
 
 /// The process-wide shared pool (one worker per hardware thread), created on
-/// first use. ExperimentRunner, engine::serve_parallel, and sim::ShardRuntime
-/// all draw from this single pool rather than spawning their own threads.
+/// first use. ExperimentRunner, engine::serve_parallel, and
+/// ChordRing::stabilize_all_on all draw from this single pool rather than
+/// spawning their own threads.
 [[nodiscard]] ThreadPool& shared_pool();
 
 }  // namespace qsa::util

@@ -6,7 +6,6 @@
 // reports, not just wrong orders.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -183,61 +182,6 @@ TEST(EventQueueEngine, EqualTimeOrderSurvivesSlotReuse) {
   std::vector<int> expected(64);
   for (int i = 0; i < 64; ++i) expected[static_cast<std::size_t>(i)] = i;
   EXPECT_EQ(order, expected);
-}
-
-// The keyed tests record into fixed std::arrays: GCC 12's
-// -Wmismatched-new-delete false-positives when it can fully inline a
-// std::vector round trip through this file's replaced operator new
-// (malloc) and the sized delete (free), and the CI build is -Werror.
-
-TEST(EventQueueEngine, KeyedEventsFireInKeyOrderNotScheduleOrder) {
-  // (time, key, seq): at equal times the state-derived key decides, however
-  // the events were enqueued — the property the sharded runtime's
-  // K-invariance rests on.
-  EventQueue q;
-  const SimTime t = SimTime::seconds(2);
-  std::array<std::uint64_t, 10> order{};
-  std::size_t fired = 0;
-  // Schedule keys in descending order; they must fire ascending.
-  for (std::uint64_t key = 10; key > 0; --key) {
-    q.schedule_keyed(t, key, [&order, &fired, key] { order[fired++] = key; });
-  }
-  while (!q.empty()) q.pop().action();
-  ASSERT_EQ(fired, order.size());
-  for (std::uint64_t key = 1; key <= 10; ++key) {
-    EXPECT_EQ(order[static_cast<std::size_t>(key - 1)], key);
-  }
-}
-
-TEST(EventQueueEngine, KeyBreaksTiesBeforeSeqAndTimeBeforeKey) {
-  EventQueue q;
-  std::array<int, 4> order{};
-  std::size_t fired = 0;
-  // Later time, smallest key: must still fire last.
-  q.schedule_keyed(SimTime::millis(20), 0, [&] { order[fired++] = 3; });
-  // Equal time, equal key: schedule order (seq) decides.
-  q.schedule_keyed(SimTime::millis(10), 5, [&] { order[fired++] = 1; });
-  q.schedule_keyed(SimTime::millis(10), 5, [&] { order[fired++] = 2; });
-  // Equal time, smaller key: beats both seq-older entries above.
-  q.schedule_keyed(SimTime::millis(10), 1, [&] { order[fired++] = 0; });
-  while (!q.empty()) q.pop().action();
-  ASSERT_EQ(fired, order.size());
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(EventQueueEngine, DefaultScheduleIsKeyZero) {
-  // schedule() == schedule_keyed(key=0): plain scheduling stays a pure
-  // (time, seq) order, so pre-shard golden digests cannot move.
-  EventQueue q;
-  const SimTime t = SimTime::seconds(3);
-  std::array<int, 3> order{};
-  std::size_t fired = 0;
-  q.schedule(t, [&] { order[fired++] = 0; });
-  q.schedule_keyed(t, 0, [&] { order[fired++] = 1; });
-  q.schedule(t, [&] { order[fired++] = 2; });
-  while (!q.empty()) q.pop().action();
-  ASSERT_EQ(fired, order.size());
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
 TEST(EventQueueEngine, ShrinksAfterSpike) {

@@ -32,7 +32,6 @@
 #include <string>
 
 #include "qsa/harness/grid.hpp"
-#include "qsa/harness/shard_world.hpp"
 #include "qsa/index/attribute_index.hpp"
 #include "qsa/obs/export.hpp"
 #include "qsa/obs/sink.hpp"
@@ -160,18 +159,6 @@ constexpr GoldenCell kGoldenSim[] = {
     {"stress-sampled/7", 0x2dc07af8d10a2bb7ULL},
 };
 
-// ShardWorld goldens: the sharded message-plane workload (96 peers, 8 s,
-// 250 ms ticks, seed 42), captured at K=1 on the keyed event queue. Every
-// shard count must land on these exact digests — the cells below run K=1
-// AND K=4 against the same value, so both the serial path and the full
-// barrier/mailbox machinery are pinned across builds.
-constexpr GoldenCell kGoldenShard[] = {
-    {"shard/chord", 0xe00600b10d8d6fafULL},
-    {"shard/can", 0xd943dd6aa4a78042ULL},
-    {"shard/pastry", 0x814e3f1f589dfebcULL},
-    {"shard/chord/faults", 0x960e9d98629897b7ULL},
-};
-
 // OBS goldens: captured from the streaming pipeline this test ships with
 // (see header comment for why they were rebaselined in PR 6). From here on
 // they are as hard as the sim goldens.
@@ -258,36 +245,6 @@ TEST(PerfRefactorIdentity, ObsOffCellsMatchObsOnSimDigests) {
   expect_cell("stress/7/obs-off", cfg);
 }
 
-// The sharded message-plane engine against its goldens at K=1 and K=4:
-// cross-build drift in the keyed queue, the conservative epochs, or the
-// mailbox path all land here as a digest mismatch.
-TEST(PerfRefactorIdentity, ShardWorldMatchesGoldenAtEveryK) {
-  const struct {
-    const char* label;
-    OverlayKind overlay;
-    bool faults;
-  } cells[] = {
-      {"shard/chord", OverlayKind::kChord, false},
-      {"shard/can", OverlayKind::kCan, false},
-      {"shard/pastry", OverlayKind::kPastry, false},
-      {"shard/chord/faults", OverlayKind::kChord, true},
-  };
-  for (const auto& cell : cells) {
-    for (const std::size_t k : {std::size_t{1}, std::size_t{4}}) {
-      ShardWorldConfig cfg;
-      cfg.peers = 96;
-      cfg.horizon = sim::SimTime::seconds(8);
-      cfg.tick_period = sim::SimTime::millis(250);
-      cfg.overlay = cell.overlay;
-      cfg.faults = cell.faults;
-      cfg.shards = k;
-      ShardWorld world(cfg);
-      EXPECT_EQ(world.run().digest, golden(kGoldenShard, cell.label))
-          << "cell " << cell.label << " K=" << k;
-    }
-  }
-}
-
 // The grid with shards=4: only provably order-free phases (the bootstrap's
 // finger rebuild) use the pool, so the whole-run digests — sim AND obs —
 // must equal the serial cell's goldens bit for bit.
@@ -295,6 +252,42 @@ TEST(PerfRefactorIdentity, ShardedGridBootstrapMatchesSerialGolden) {
   auto cfg = base_config(11, AlgorithmKind::kQsa);
   cfg.shards = 4;
   expect_cell("qsa/11", cfg);
+}
+
+TEST(GridShardedBootstrap, ParallelStabilizeIsByteIdentical) {
+  // Above ~2k ring nodes the chord overlay actually fans the finger rebuild
+  // out over the pool (below that it falls back to the serial walk), so this
+  // population exercises the parallel path for real and must change nothing.
+  const auto run = [](std::size_t shards) {
+    harness::GridConfig cfg;
+    cfg.peers = 2500;
+    cfg.min_providers = 10;
+    cfg.max_providers = 20;
+    cfg.apps.applications = 5;
+    cfg.requests.rate_per_min = 30;
+    cfg.churn.events_per_min = 6;
+    cfg.horizon = sim::SimTime::minutes(2);
+    cfg.shards = shards;
+    harness::GridSimulation grid(cfg);
+    return grid.run();
+  };
+  const harness::GridResult serial = run(1);
+  const harness::GridResult pooled = run(4);
+  EXPECT_EQ(pooled.requests, serial.requests);
+  EXPECT_EQ(pooled.successes, serial.successes);
+  EXPECT_EQ(pooled.failures_discovery, serial.failures_discovery);
+  EXPECT_EQ(pooled.failures_admission, serial.failures_admission);
+  EXPECT_EQ(pooled.lookup_hops, serial.lookup_hops);
+  EXPECT_EQ(pooled.setup_latency_ms, serial.setup_latency_ms);
+  EXPECT_EQ(pooled.notification_messages, serial.notification_messages);
+  EXPECT_DOUBLE_EQ(pooled.avg_composition_cost, serial.avg_composition_cost);
+  const auto a = serial.counters.all();
+  const auto b = pooled.counters.all();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].first, b[i].first);
+    EXPECT_EQ(a[i].second, b[i].second) << "counter " << a[i].first;
+  }
 }
 
 // DHT range discovery (--discovery=dht) on every overlay, faults off and at

@@ -44,9 +44,6 @@ struct GridConfig {
 
   // --- population ---
   std::size_t peers = 10'000;          ///< paper: 10^4
-  double min_capacity = 100;           ///< per-kind units, paper: [100,100]
-  double max_capacity = 1000;          ///< paper: [1000,1000]
-  double max_initial_age_min = 180;    ///< pre-aged uptime at t=0
 
   // --- network model ---
   /// How pair latency/bandwidth derive from the seed: kPaper is the paper's
@@ -59,8 +56,6 @@ struct GridConfig {
   // --- placement ---
   int min_providers = 40;              ///< paper: 40 peers per instance
   int max_providers = 80;              ///< paper: 80
-  int arrival_hosted_min = 2;          ///< instances a churn arrival hosts
-  int arrival_hosted_max = 5;
 
   // --- probing & neighbor maintenance ---
   sim::SimTime probe_period = sim::SimTime::seconds(30);
@@ -69,10 +64,6 @@ struct GridConfig {
 
   // --- overlay ---
   OverlayKind overlay = OverlayKind::kChord;
-  int chord_replicas = 4;
-  sim::SimTime stabilize_period = sim::SimTime::seconds(30);
-  double stabilize_fraction = 0.1;
-  sim::SimTime republish_period = sim::SimTime::minutes(2);
 
   // --- applications & workload ---
   workload::AppCatalogParams apps;     ///< seeds are overridden from `seed`

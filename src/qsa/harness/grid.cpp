@@ -1,6 +1,8 @@
 #include "qsa/harness/grid.hpp"
 
 #include <chrono>
+#include <cstdint>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -14,6 +16,15 @@
 #include "qsa/workload/generator.hpp"
 
 namespace qsa::harness {
+
+namespace {
+
+/// Per-kind capacity tier of every peer, bootstrap and churn arrival alike
+/// (paper: [100,100] to [1000,1000]).
+constexpr double kMinCapacity = 100;
+constexpr double kMaxCapacity = 1000;
+
+}  // namespace
 
 GridSimulation::GridSimulation(GridConfig config)
     : config_(std::move(config)),
@@ -35,19 +46,21 @@ GridSimulation::GridSimulation(GridConfig config)
   network_ = std::make_unique<net::NetworkModel>(
       util::derive_seed(config_.seed, "network", 0), clock,
       config_.net_model);
+  // Successor-list / replica-set size shared by all three overlays.
+  constexpr int kOverlayReplicas = 4;
   switch (config_.overlay) {
     case OverlayKind::kChord:
       ring_ = std::make_unique<overlay::ChordRing>(
-          util::derive_seed(config_.seed, "chord", 0), config_.chord_replicas);
+          util::derive_seed(config_.seed, "chord", 0), kOverlayReplicas);
       break;
     case OverlayKind::kCan:
       ring_ = std::make_unique<overlay::CanOverlay>(
-          util::derive_seed(config_.seed, "can", 0), config_.chord_replicas);
+          util::derive_seed(config_.seed, "can", 0), kOverlayReplicas);
       break;
     case OverlayKind::kPastry:
       ring_ = std::make_unique<overlay::PastryOverlay>(
           util::derive_seed(config_.seed, "pastry", 0),
-          config_.chord_replicas);
+          kOverlayReplicas);
       break;
   }
   directory_ = std::make_unique<registry::ServiceDirectory>(
@@ -236,12 +249,12 @@ void GridSimulation::bootstrap() {
   // away, and skipping it roughly halves million-peer bootstrap. The RNG
   // draws are a strict sequence, so this loop stays serial at any shard
   // count.
+  constexpr double kMaxInitialAgeMin = 180;  // pre-aged uptime at t = 0
   auto t = WallClock::now();
   peers_->reserve(config_.peers);
   for (std::size_t i = 0; i < config_.peers; ++i) {
-    const double tier =
-        grid_rng_.uniform(config_.min_capacity, config_.max_capacity);
-    const double age_min = grid_rng_.uniform(0.0, config_.max_initial_age_min);
+    const double tier = grid_rng_.uniform(kMinCapacity, kMaxCapacity);
+    const double age_min = grid_rng_.uniform(0.0, kMaxInitialAgeMin);
     const net::PeerId id =
         peers_->add_peer(qos::ResourceVector{tier, tier},
                          sim::SimTime::minutes(-age_min));
@@ -515,14 +528,15 @@ void GridSimulation::depart_peer(net::PeerId peer) {
 }
 
 net::PeerId GridSimulation::arrive_peer() {
-  const double tier =
-      grid_rng_.uniform(config_.min_capacity, config_.max_capacity);
+  const double tier = grid_rng_.uniform(kMinCapacity, kMaxCapacity);
   const net::PeerId id = peers_->add_peer(qos::ResourceVector{tier, tier},
                                           simulator_.now());
   ring_->join(id);
   // A newcomer contributes a few instance copies.
-  const int hosted = static_cast<int>(grid_rng_.uniform_int(
-      config_.arrival_hosted_min, config_.arrival_hosted_max));
+  constexpr int kArrivalHostedMin = 2;
+  constexpr int kArrivalHostedMax = 5;
+  const int hosted = static_cast<int>(
+      grid_rng_.uniform_int(kArrivalHostedMin, kArrivalHostedMax));
   for (int i = 0; i < hosted && catalog_.instance_count() > 0; ++i) {
     placement_.add_provider(
         static_cast<registry::InstanceId>(
@@ -536,9 +550,12 @@ GridResult GridSimulation::run() {
   const sim::SimTime horizon = config_.horizon;
 
   // Periodic maintenance: overlay stabilization and directory republish.
-  simulator_.every(config_.stabilize_period, config_.stabilize_period,
-                   [this] { ring_->stabilize_round(config_.stabilize_fraction); });
-  simulator_.every(config_.republish_period, config_.republish_period,
+  constexpr sim::SimTime kStabilizePeriod = sim::SimTime::seconds(30);
+  constexpr double kStabilizeFraction = 0.1;
+  constexpr sim::SimTime kRepublishPeriod = sim::SimTime::minutes(2);
+  simulator_.every(kStabilizePeriod, kStabilizePeriod,
+                   [this] { ring_->stabilize_round(kStabilizeFraction); });
+  simulator_.every(kRepublishPeriod, kRepublishPeriod,
                    [this] { discovery().publish_all(); });
   // Replica retirement sweep, only when the tier exists (an extra periodic
   // event would otherwise perturb the event count of knobs-off runs).
@@ -704,19 +721,17 @@ GridResult GridSimulation::run() {
     const auto notify = static_cast<std::size_t>(fault::Channel::kNotify);
     const auto lookup = static_cast<std::size_t>(fault::Channel::kLookup);
     const auto resv = static_cast<std::size_t>(fault::Channel::kReservation);
-    result_.counters.add("fault.messages", fs.total_attempts());
-    result_.counters.add("fault.dropped", fs.total_dropped());
-    result_.counters.add("probe.retries", fs.retries[probe] + fs.retries[notify]);
-    result_.counters.add("lookup.retries", fs.retries[lookup]);
-    result_.counters.add("lookup.rerouted", fs.rerouted);
-    result_.counters.add("session.recovery_retries", fs.retries[resv]);
-    if (metrics_ != nullptr) {
-      metrics_->add("fault.messages", fs.total_attempts());
-      metrics_->add("fault.dropped", fs.total_dropped());
-      metrics_->add("probe.retries", fs.retries[probe] + fs.retries[notify]);
-      metrics_->add("lookup.retries", fs.retries[lookup]);
-      metrics_->add("lookup.rerouted", fs.rerouted);
-      metrics_->add("session.recovery_retries", fs.retries[resv]);
+    const std::pair<std::string_view, std::uint64_t> totals[] = {
+        {"fault.messages", fs.total_attempts()},
+        {"fault.dropped", fs.total_dropped()},
+        {"probe.retries", fs.retries[probe] + fs.retries[notify]},
+        {"lookup.retries", fs.retries[lookup]},
+        {"lookup.rerouted", fs.rerouted},
+        {"session.recovery_retries", fs.retries[resv]},
+    };
+    for (const auto& [name, value] : totals) {
+      result_.counters.add(name, value);
+      if (metrics_ != nullptr) metrics_->add(name, value);
     }
   }
 
@@ -724,30 +739,27 @@ GridResult GridSimulation::run() {
   // directory mode (the default) no index.* counter name ever appears.
   if (index_ != nullptr) {
     const index::IndexStats& is = index_->stats();
-    result_.counters.add("index.publishes", is.publishes);
-    result_.counters.add("index.updates", is.updates);
-    result_.counters.add("index.expiries", is.expiries);
-    result_.counters.add("index.scans", is.scans);
-    result_.counters.add("index.scan_segments", is.scan_segments);
-    result_.counters.add("index.scan_hops", is.scan_hops);
-    result_.counters.add("index.scan_reroutes", is.scan_reroutes);
-    result_.counters.add("index.failed_scans", is.failed_scans);
-    result_.counters.add("index.scanned_postings", is.scanned_postings);
-    result_.counters.add("index.false_positives", is.false_positives);
-    result_.counters.add("index.stale_postings", is.stale_postings);
+    const std::pair<std::string_view, std::uint64_t> totals[] = {
+        {"index.publishes", is.publishes},
+        {"index.updates", is.updates},
+        {"index.expiries", is.expiries},
+        {"index.scans", is.scans},
+        {"index.scan_segments", is.scan_segments},
+        {"index.scan_hops", is.scan_hops},
+        {"index.scan_reroutes", is.scan_reroutes},
+        {"index.failed_scans", is.failed_scans},
+        {"index.scanned_postings", is.scanned_postings},
+        {"index.false_positives", is.false_positives},
+        {"index.stale_postings", is.stale_postings},
+    };
+    for (const auto& [name, value] : totals) {
+      result_.counters.add(name, value);
+      if (metrics_ != nullptr) metrics_->add(name, value);
+    }
+    // Live postings are a level, not a running total: a counter in the
+    // result, a gauge in the registry.
     result_.counters.add("index.postings", index_->postings());
     if (metrics_ != nullptr) {
-      metrics_->add("index.publishes", is.publishes);
-      metrics_->add("index.updates", is.updates);
-      metrics_->add("index.expiries", is.expiries);
-      metrics_->add("index.scans", is.scans);
-      metrics_->add("index.scan_segments", is.scan_segments);
-      metrics_->add("index.scan_hops", is.scan_hops);
-      metrics_->add("index.scan_reroutes", is.scan_reroutes);
-      metrics_->add("index.failed_scans", is.failed_scans);
-      metrics_->add("index.scanned_postings", is.scanned_postings);
-      metrics_->add("index.false_positives", is.false_positives);
-      metrics_->add("index.stale_postings", is.stale_postings);
       metrics_->set("index.postings", static_cast<double>(index_->postings()));
     }
   }

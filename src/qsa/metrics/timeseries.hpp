@@ -26,35 +26,8 @@ class TimeSeries {
   [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
   [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
 
-  /// Mean of the sample values (0 when empty).
-  [[nodiscard]] double mean() const;
-
  private:
   std::vector<Sample> samples_;
-};
-
-/// Windowed ratio sampler: counts successes/attempts since the last flush
-/// and emits their ratio as one sample (how the paper's fluctuation figures
-/// are computed).
-class RatioSampler {
- public:
-  void success() { ++successes_; ++attempts_; }
-  void failure() { ++attempts_; }
-
-  /// Emits the window's ratio into `out` and resets the window. Windows with
-  /// no attempts emit `idle_value` (Figures 6/8 plot 1.0 when nothing
-  /// failed because nothing arrived is not meaningful; we default to
-  /// skipping such windows).
-  void flush(TimeSeries& out, sim::SimTime now, bool skip_idle = true,
-             double idle_value = 1.0);
-
-  [[nodiscard]] std::uint64_t window_attempts() const noexcept {
-    return attempts_;
-  }
-
- private:
-  std::uint64_t successes_ = 0;
-  std::uint64_t attempts_ = 0;
 };
 
 }  // namespace qsa::metrics

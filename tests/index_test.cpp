@@ -15,14 +15,17 @@
 //     segment is rerouted or the whole query fails — a non-failed result is
 //     never a truncated candidate set;
 //  4. the grid-level backend seam: --discovery=dht runs are deterministic
-//     under churn and faults on all three overlays, and index.* counters
-//     are exported only when the backend is enabled.
+//     under churn and faults on all three overlays, index.* counters are
+//     exported only when the backend is enabled, and the end-of-run index.*
+//     and fault.* totals read the same in GridResult and the registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <optional>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "qsa/fault/fault.hpp"
@@ -31,6 +34,7 @@
 #include "qsa/index/keys.hpp"
 #include "qsa/net/network.hpp"
 #include "qsa/net/peer.hpp"
+#include "qsa/obs/registry.hpp"
 #include "qsa/overlay/chord_ring.hpp"
 #include "qsa/registry/catalog.hpp"
 #include "qsa/registry/placement.hpp"
@@ -470,6 +474,55 @@ TEST(IndexGrid, IndexCountersAppearOnlyWhenBackendEnabled) {
   EXPECT_GT(dht_run.counters.get("index.publishes"), 0u);
   EXPECT_GT(dht_run.counters.get("index.scans"), 0u);
   EXPECT_GT(dht_run.counters.get("index.scan_hops"), 0u);
+}
+
+TEST(IndexGrid, EndOfRunTotalsAgreeAcrossResultAndRegistry) {
+  auto cfg = dht_config(harness::OverlayKind::kChord);
+  cfg.faults.set_all_loss(0.01);
+  cfg.observe = true;
+  harness::GridSimulation grid(cfg);
+  const auto r = grid.run();
+  ASSERT_NE(grid.metrics(), nullptr);
+  const obs::MetricsRegistry& m = *grid.metrics();
+  ASSERT_GT(r.counters.get("fault.dropped"), 0u);
+  ASSERT_GT(r.counters.get("index.scans"), 0u);
+
+  const auto is_total = [](std::string_view name) {
+    return name.starts_with("fault.") || name.starts_with("index.");
+  };
+  std::set<std::string> result_names;
+  for (const auto& [name, value] : r.counters.all()) {
+    if (!is_total(name)) continue;
+    result_names.emplace(name);
+    if (name == "index.postings") {
+      const auto g = m.gauges().find(name);
+      ASSERT_NE(g, m.gauges().end());
+      EXPECT_EQ(g->second.value, static_cast<double>(value));
+    } else {
+      const auto c = m.counters().find(name);
+      ASSERT_NE(c, m.counters().end()) << name;
+      EXPECT_EQ(c->second.value, value) << name;
+    }
+  }
+  // index.lookups is DhtDiscovery's live registry counter, not an
+  // end-of-run total, so it has no GridResult twin.
+  std::set<std::string> registry_names;
+  for (const auto& [name, c] : m.counters()) {
+    if (is_total(name) && name != "index.lookups") registry_names.insert(name);
+  }
+  for (const auto& [name, g] : m.gauges()) {
+    if (is_total(name)) registry_names.insert(name);
+  }
+  EXPECT_EQ(result_names, registry_names);
+
+  // The fault block's unprefixed retry totals land in both channels too.
+  for (const std::string_view name :
+       {"probe.retries", "lookup.retries", "lookup.rerouted",
+        "session.recovery_retries"}) {
+    const auto c = m.counters().find(name);
+    ASSERT_NE(c, m.counters().end()) << name;
+    EXPECT_EQ(c->second.value, r.counters.get(name)) << name;
+  }
 }
 
 }  // namespace
